@@ -592,12 +592,13 @@ type jsonReport struct {
 // jsonProof reports the checked DRAT certificate behind a verified
 // verdict (-certify only).
 type jsonProof struct {
-	Checked   bool    `json:"checked"`
-	Steps     int     `json:"steps"`
-	Inputs    int     `json:"inputs"`
-	Lemmas    int     `json:"lemmas"`
-	Deletions int     `json:"deletions"`
-	CheckMs   float64 `json:"check_ms"`
+	Checked        bool    `json:"checked"`
+	Steps          int     `json:"steps"`
+	Inputs         int     `json:"inputs"`
+	Lemmas         int     `json:"lemmas"`
+	VerifiedLemmas int     `json:"verified_lemmas"`
+	Deletions      int     `json:"deletions"`
+	CheckMs        float64 `json:"check_ms"`
 }
 
 type jsonStats struct {
@@ -706,8 +707,8 @@ func emitJSONResult(o cliOpts, res *core.Result, m *core.Model, tr *obs.Trace, m
 	if cert := res.Certificate; cert != nil {
 		rep.Proof = &jsonProof{
 			Checked: cert.Checked, Steps: cert.Steps,
-			Inputs: cert.Inputs, Lemmas: cert.Lemmas, Deletions: cert.Deletions,
-			CheckMs: durMs(cert.CheckElapsed),
+			Inputs: cert.Inputs, Lemmas: cert.Lemmas, VerifiedLemmas: cert.VerifiedLemmas,
+			Deletions: cert.Deletions, CheckMs: durMs(cert.CheckElapsed),
 		}
 	}
 	if cex := res.Counterexample; cex != nil {
@@ -786,8 +787,8 @@ func report(check string, res *core.Result, m *core.Model, verbose bool, mod mod
 		fmt.Println("mode: monolithic (single component or goal outside the modular vocabulary)")
 	}
 	if cert := res.Certificate; cert != nil {
-		fmt.Printf("proof: checked (%d steps, %d lemmas, %d deletions, %.1fms check)\n",
-			cert.Steps, cert.Lemmas, cert.Deletions, durMs(cert.CheckElapsed))
+		fmt.Printf("proof: checked (%d steps, %d lemmas of which %d verified, %d deletions, %.1fms check)\n",
+			cert.Steps, cert.Lemmas, cert.VerifiedLemmas, cert.Deletions, durMs(cert.CheckElapsed))
 	}
 	if len(res.Blame) > 0 {
 		if res.Verified {

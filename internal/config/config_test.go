@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -367,5 +368,44 @@ router bgp 65001
 	// Bad options rejected.
 	if _, err := Parse("hostname R\nrouter bgp 1\n aggregate-address 10.0.0.0 255.0.0.0 frob\n"); err == nil {
 		t.Fatal("bad aggregate option accepted")
+	}
+}
+
+// TestParseMissingArguments pins directives cut short after their
+// keywords, among them the `bgp router-id` line that used to index past
+// its fields and panic: each must fail with a parse error naming the
+// line, never crash.
+func TestParseMissingArguments(t *testing.T) {
+	cases := []struct {
+		name, block, line string
+	}{
+		{"bgp router-id", "router bgp 1", "bgp router-id"},
+		{"bgp maximum-paths", "router bgp 1", "maximum-paths"},
+		{"bgp distance", "router bgp 1", "distance"},
+		{"ospf maximum-paths", "router ospf 1", "maximum-paths"},
+		{"ospf distance", "router ospf 1", "distance"},
+		{"rip network", "router rip", "network"},
+		{"ip address", "interface E0", "ip address 10.0.0.1"},
+		{"ip access-group", "interface E0", "ip access-group A"},
+		{"ip ospf cost", "interface E0", "ip ospf cost"},
+		{"match prefix-list", "route-map M permit 10", "match ip address prefix-list"},
+		{"match community", "route-map M permit 10", "match community"},
+		{"set local-preference", "route-map M permit 10", "set local-preference"},
+		{"set metric", "route-map M permit 10", "set metric"},
+		{"set med", "route-map M permit 10", "set med"},
+		{"set next-hop", "route-map M permit 10", "set ip next-hop"},
+		{"set prepend", "route-map M permit 10", "set as-path prepend"},
+	}
+	for _, c := range cases {
+		text := "hostname R\n" + c.block + "\n " + c.line + "\n"
+		_, err := Parse(text)
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Errorf("%s: err = %v, want a *ParseError", c.name, err)
+			continue
+		}
+		if pe.Line != 3 || pe.Text != c.line {
+			t.Errorf("%s: error at line %d (%q), want line 3 (%q)", c.name, pe.Line, pe.Text, c.line)
+		}
 	}
 }

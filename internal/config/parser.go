@@ -183,8 +183,8 @@ func (p *parser) interfaceLine(f []string) error {
 	i := p.curIf
 	switch {
 	case eq(f, "ip", "address"):
-		if len(f) != 4 {
-			return fmt.Errorf("ip address needs address and mask")
+		if err := arity(f, 4, 4, "ip address ADDRESS MASK"); err != nil {
+			return err
 		}
 		addr, err := network.ParseIP(f[2])
 		if err != nil {
@@ -201,7 +201,10 @@ func (p *parser) interfaceLine(f []string) error {
 		i.Addr, i.Prefix = addr, pre
 		return nil
 	case eq(f, "ip", "access-group"):
-		if len(f) != 4 || (f[3] != "in" && f[3] != "out") {
+		if err := arity(f, 4, 4, "ip access-group NAME in|out"); err != nil {
+			return err
+		}
+		if f[3] != "in" && f[3] != "out" {
 			return fmt.Errorf("ip access-group NAME in|out")
 		}
 		if f[3] == "in" {
@@ -211,8 +214,8 @@ func (p *parser) interfaceLine(f []string) error {
 		}
 		return nil
 	case eq(f, "ip", "ospf", "cost"):
-		if len(f) != 4 {
-			return fmt.Errorf("ip ospf cost needs a value")
+		if err := arity(f, 4, 4, "ip ospf cost N"); err != nil {
+			return err
 		}
 		n, err := strconv.Atoi(f[3])
 		if err != nil || n < 1 || n > 65535 {
@@ -262,6 +265,9 @@ func (p *parser) ospfLine(f []string) error {
 		o.Redistribute = append(o.Redistribute, rd)
 		return nil
 	case f[0] == "maximum-paths":
+		if err := arity(f, 2, -1, "maximum-paths N"); err != nil {
+			return err
+		}
 		n, err := strconv.Atoi(f[1])
 		if err != nil || n < 1 {
 			return fmt.Errorf("bad maximum-paths")
@@ -269,6 +275,9 @@ func (p *parser) ospfLine(f []string) error {
 		o.MaxPaths = n
 		return nil
 	case f[0] == "distance":
+		if err := arity(f, 2, -1, "distance N"); err != nil {
+			return err
+		}
 		n, err := strconv.Atoi(f[1])
 		if err != nil || n < 1 || n > 255 {
 			return fmt.Errorf("bad distance")
@@ -284,6 +293,9 @@ func (p *parser) ripLine(f []string) error {
 	switch f[0] {
 	case "network":
 		// RIP uses classful "network A.B.C.D"; we accept CIDR instead.
+		if err := arity(f, 2, -1, "network PREFIX"); err != nil {
+			return err
+		}
 		pre, err := network.ParsePrefix(f[1])
 		if err != nil {
 			return err
@@ -350,6 +362,9 @@ func (p *parser) bgpLine(f []string) error {
 	b := p.r.BGP
 	switch {
 	case eq(f, "bgp", "router-id"):
+		if err := arity(f, 3, 3, "bgp router-id A.B.C.D"); err != nil {
+			return err
+		}
 		ip, err := network.ParseIP(f[2])
 		if err != nil {
 			return err
@@ -422,6 +437,9 @@ func (p *parser) bgpLine(f []string) error {
 		b.Aggregates = append(b.Aggregates, agg)
 		return nil
 	case f[0] == "maximum-paths":
+		if err := arity(f, 2, -1, "maximum-paths N"); err != nil {
+			return err
+		}
 		n, err := strconv.Atoi(f[1])
 		if err != nil || n < 1 {
 			return fmt.Errorf("bad maximum-paths")
@@ -429,6 +447,9 @@ func (p *parser) bgpLine(f []string) error {
 		b.MaxPaths = n
 		return nil
 	case f[0] == "distance":
+		if err := arity(f, 2, -1, "distance N"); err != nil {
+			return err
+		}
 		n, err := strconv.Atoi(f[1])
 		if err != nil || n < 1 || n > 255 {
 			return fmt.Errorf("bad distance")
@@ -671,18 +692,21 @@ func (p *parser) routeMapLine(f []string) error {
 	cl := p.curMap
 	switch {
 	case eq(f, "match", "ip", "address", "prefix-list"):
-		if len(f) != 5 {
-			return fmt.Errorf("match ip address prefix-list NAME")
+		if err := arity(f, 5, 5, "match ip address prefix-list NAME"); err != nil {
+			return err
 		}
 		cl.MatchPrefixList = f[4]
 		return nil
 	case eq(f, "match", "community"):
-		if len(f) != 3 {
-			return fmt.Errorf("match community NAME")
+		if err := arity(f, 3, 3, "match community NAME"); err != nil {
+			return err
 		}
 		cl.MatchCommunity = f[2]
 		return nil
 	case eq(f, "set", "local-preference"):
+		if err := arity(f, 3, -1, "set local-preference N"); err != nil {
+			return err
+		}
 		n, err := strconv.ParseUint(f[2], 10, 32)
 		if err != nil || n == 0 {
 			return fmt.Errorf("bad local-preference %q", f[2])
@@ -690,6 +714,9 @@ func (p *parser) routeMapLine(f []string) error {
 		cl.SetLocalPref = uint32(n)
 		return nil
 	case eq(f, "set", "metric"):
+		if err := arity(f, 3, -1, "set metric N"); err != nil {
+			return err
+		}
 		n, err := strconv.Atoi(f[2])
 		if err != nil || n < 0 {
 			return fmt.Errorf("bad metric %q", f[2])
@@ -697,6 +724,9 @@ func (p *parser) routeMapLine(f []string) error {
 		cl.SetMetric, cl.HasSetMetric = n, true
 		return nil
 	case eq(f, "set", "med"):
+		if err := arity(f, 3, -1, "set med N"); err != nil {
+			return err
+		}
 		n, err := strconv.Atoi(f[2])
 		if err != nil || n < 0 {
 			return fmt.Errorf("bad med %q", f[2])
@@ -717,6 +747,9 @@ func (p *parser) routeMapLine(f []string) error {
 		cl.DelCommunity = append(cl.DelCommunity, f[2])
 		return nil
 	case eq(f, "set", "ip", "next-hop"):
+		if err := arity(f, 4, -1, "set ip next-hop A.B.C.D"); err != nil {
+			return err
+		}
 		ip, err := network.ParseIP(f[3])
 		if err != nil {
 			return err
@@ -724,11 +757,11 @@ func (p *parser) routeMapLine(f []string) error {
 		cl.SetNextHop, cl.HasSetNextHop = ip, true
 		return nil
 	case eq(f, "set", "as-path", "prepend"):
+		if err := arity(f, 4, -1, "set as-path prepend ASN..."); err != nil {
+			return err
+		}
 		// Count the prepended ASNs.
 		cl.SetPrepend = len(f) - 3
-		if cl.SetPrepend < 1 {
-			return fmt.Errorf("as-path prepend needs ASNs")
-		}
 		return nil
 	}
 	return fmt.Errorf("unknown route-map directive %q (map %s)", strings.Join(f, " "), p.curName)
@@ -865,6 +898,16 @@ func parseACLPorts(f []string) ([2]int, []string, error) {
 		return [2]int{lo, hi}, f[3:], nil
 	}
 	return ports, f, nil
+}
+
+// arity checks that a directive has between lo and hi fields (hi < 0:
+// no upper bound), so no case indexes a field the line lacks. The error
+// gives the directive's usage; Parse adds the router and line number.
+func arity(f []string, lo, hi int, usage string) error {
+	if len(f) < lo || (hi >= 0 && len(f) > hi) {
+		return fmt.Errorf("usage: %s", usage)
+	}
+	return nil
 }
 
 func eq(f []string, prefix ...string) bool {

@@ -116,6 +116,9 @@ type Certificate struct {
 	// Steps by kind.
 	Steps, Lits               int
 	Inputs, Lemmas, Deletions int
+	// VerifiedLemmas counts the lemmas the refutation uses, each
+	// RUP-checked; the rest are accepted unchecked.
+	VerifiedLemmas int
 	// CheckElapsed is the checker's replay time, reported separately from
 	// the solve phases (certification is off the verdict path).
 	CheckElapsed time.Duration
@@ -124,25 +127,14 @@ type Certificate struct {
 // certify replays a recorded proof trace through the independent DRAT
 // checker under an obs span. It returns the certificate, or an error when
 // the trace does not establish UNSAT — in which case the caller must not
-// report a verdict. With wantCore set the checker additionally extracts
-// the unsatisfiable core (indices of the input steps the refutation
-// depends on) in the same replay; core extraction threads state through
-// the whole trace, so it stays sequential even when workers > 1.
-func certify(sp *obs.Span, proof *sat.Proof, wantCore bool, workers int, assumptions ...sat.Lit) (*Certificate, []int, error) {
+// report a verdict. It also returns the unsatisfiable core the checker's
+// backward pass marked: the indices of the input steps the refutation
+// depends on.
+func certify(sp *obs.Span, proof *sat.Proof, assumptions ...sat.Lit) (*Certificate, []int, error) {
 	cSp := sp.Start("certify")
 	defer cSp.End()
 	start := time.Now()
-	var st *drat.Stats
-	var core []int
-	var err error
-	switch {
-	case wantCore:
-		st, core, err = drat.CheckCore(proof, assumptions...)
-	case workers > 1:
-		st, err = drat.CheckParallel(proof, workers, assumptions...)
-	default:
-		st, err = drat.Check(proof, assumptions...)
-	}
+	st, core, err := drat.CheckCore(proof, assumptions...)
 	elapsed := time.Since(start)
 	cSp.SetInt("steps", int64(proof.NumSteps()))
 	cSp.SetInt("lits", int64(proof.NumLits()))
@@ -153,13 +145,14 @@ func certify(sp *obs.Span, proof *sat.Proof, wantCore bool, workers int, assumpt
 	}
 	cSp.SetStr("verdict", "checked")
 	return &Certificate{
-		Checked:      true,
-		Steps:        proof.NumSteps(),
-		Lits:         proof.NumLits(),
-		Inputs:       st.Inputs,
-		Lemmas:       st.Lemmas,
-		Deletions:    st.Deletions,
-		CheckElapsed: elapsed,
+		Checked:        true,
+		Steps:          proof.NumSteps(),
+		Lits:           proof.NumLits(),
+		Inputs:         st.Inputs,
+		Lemmas:         st.Lemmas,
+		VerifiedLemmas: st.Verified,
+		Deletions:      st.Deletions,
+		CheckElapsed:   elapsed,
 	}, core, nil
 }
 
@@ -421,7 +414,7 @@ func (m *Model) checkGoal(ctx context.Context, cn *CompiledNetwork, prior []pass
 			if outcome != nil {
 				checkProof, bases = outcome.Proof, outcome.OriginBases
 			}
-			cert, core, err := certify(sp, checkProof, m.Opts.Blame, m.certifyWorkers())
+			cert, core, err := certify(sp, checkProof)
 			if err != nil {
 				return nil, err
 			}

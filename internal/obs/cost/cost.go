@@ -155,8 +155,9 @@ func (n *Node) Child(name string) *Node {
 	return c
 }
 
-// AddChild grafts an existing subtree (merging into a same-name child if
-// one exists).
+// AddChild grafts a copy of an existing subtree (merging into a
+// same-name child if one exists). The caller's node is never stored, so
+// later merges into n leave it unchanged.
 func (n *Node) AddChild(c *Node) {
 	if n == nil || c == nil {
 		return
@@ -167,7 +168,9 @@ func (n *Node) AddChild(c *Node) {
 			return
 		}
 	}
-	n.Children = append(n.Children, c)
+	cp := &Node{Name: c.Name}
+	cp.Merge(c)
+	n.Children = append(n.Children, cp)
 }
 
 // Add folds work units into the node's own account.

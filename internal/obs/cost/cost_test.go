@@ -265,3 +265,30 @@ func TestFind(t *testing.T) {
 		t.Fatal("Find invented a node")
 	}
 }
+
+// TestAddChildCopies grafts two same-named subtrees: the second merges
+// into the parent's copy of the first, and neither argument changes.
+func TestAddChildCopies(t *testing.T) {
+	parent := New("class")
+	first := New("solve")
+	first.Add(Work{Conflicts: 2})
+	first.Child("certify").Add(Work{ProofBytes: 5})
+	parent.AddChild(first)
+	second := New("solve")
+	second.Add(Work{Conflicts: 3})
+	second.Child("certify").Add(Work{ProofBytes: 7})
+	parent.AddChild(second)
+
+	if got, want := first.Total(), (Work{Conflicts: 2, ProofBytes: 5}); got != want {
+		t.Fatalf("first argument changed: Total = %+v, want %+v", got, want)
+	}
+	if got, want := second.Total(), (Work{Conflicts: 3, ProofBytes: 7}); got != want {
+		t.Fatalf("second argument changed: Total = %+v, want %+v", got, want)
+	}
+	if got, want := parent.Total(), (Work{Conflicts: 5, ProofBytes: 12}); got != want {
+		t.Fatalf("parent Total = %+v, want %+v", got, want)
+	}
+	if len(parent.Children) != 1 || parent.Children[0] == first {
+		t.Fatal("parent should hold one merged copy, not the caller's node")
+	}
+}

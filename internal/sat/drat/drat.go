@@ -1,448 +1,593 @@
-// Package drat is a from-scratch RUP/DRAT proof checker for the traces
+// Package drat is a from-scratch DRAT proof checker for the traces
 // recorded by sat.Solver.EnableProof. It shares no solving code with the
-// solver: an independent two-watched-literal propagator replays the trace
-// chronologically, accepting Input steps unchecked, verifying every
-// Derive step by reverse unit propagation (assume the negation of the
-// clause, propagate, require a conflict) and removing Delete steps from
-// the database. A trace certifies unsatisfiability when the empty clause
-// is derived, or when unit propagation alone refutes the accumulated
-// database.
+// solver and works in the style of drat-trim, in two passes:
+//
+//   - The forward pass installs every Input and Derive step unchecked,
+//     applies Delete steps and propagates root-level units, until unit
+//     propagation refutes the database (an all-false clause, or a
+//     propagation conflict).
+//   - The backward pass walks the trace in reverse from that point. It
+//     restores deleted clauses, retracts each installed clause together
+//     with the root units it implied, and verifies by reverse unit
+//     propagation (RUP: assume the clause false, propagate, require a
+//     conflict) only the lemmas the refutation marks. Conflict analysis
+//     marks every clause a conflict rests on, starting from the
+//     refutation itself; propagation visits marked clauses first, so the
+//     marks stay small.
+//
+// The marked Input steps are an unsatisfiable core, which CheckCore
+// returns. The checked statement is unchanged from a forward checker: an
+// accepted trace establishes UNSAT(formula ∧ assumptions). What changes
+// is which lemmas are checked. A lemma the refutation never uses is not
+// RUP-checked, so a trace carrying a wrong but unused lemma is accepted,
+// as in drat-trim; everything on the refutation's path is checked against
+// the database as of its own step. Root units outlive the deletion of
+// their reason clauses, as in the solver.
 //
 // Assumption literals (incremental sessions solve under activation
-// literals) are treated as unit clauses present from the start, so the
-// checked statement is UNSAT(formula ∧ assumptions).
+// literals) are treated as unit clauses present from the start.
+//
+// The database is pointer-free: clause literals live in one arena,
+// clauses and reasons are int32 references into a header table, values
+// are indexed by literal, and watch lists hold references, so the
+// collector has nothing to scan. Deletions are matched by a hash of the
+// sorted literals, confirmed by set equality; duplicates are deleted
+// last-in-first-out.
 package drat
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sat"
 )
 
 // Stats summarizes a successful check.
 type Stats struct {
-	Inputs       int   // input clauses accepted unchecked
-	Lemmas       int   // derive steps verified by RUP
+	Inputs       int   // input steps in the trace, accepted unchecked
+	Lemmas       int   // derive steps in the trace
+	Verified     int   // derive steps the refutation uses, each RUP-checked
 	Deletions    int   // delete steps applied
-	Propagations int64 // literals propagated while checking
+	Propagations int64 // literals propagated in both passes
 }
 
-// Check replays the proof chronologically and verifies that it
-// establishes unsatisfiability of the recorded formula together with the
-// given assumptions. It returns an error describing the first failing
-// step, or the step count on success.
+// Check verifies that the proof establishes unsatisfiability of the
+// recorded formula together with the given assumptions. It returns an
+// error describing a failing step, or the step counts on success.
 func Check(p *sat.Proof, assumptions ...sat.Lit) (*Stats, error) {
-	c, _, err := replayTrace(p, false, assumptions)
-	if err != nil {
-		return nil, err
-	}
-	return &c.stats, nil
+	st, _, err := CheckCore(p, assumptions...)
+	return st, err
 }
 
-// CheckCore verifies the proof like Check and additionally extracts an
-// unsatisfiable core: the indices of the Input steps the refutation
-// actually depends on. While replaying, the checker records for every
-// verified Derive step which database clauses its reverse-unit-
-// propagation conflict touched (the conflicting clause plus the reason
-// chain of every falsified literal); the refutation's own conflict is
-// recorded the same way. Marking backwards from the refutation through
-// those used-sets reaches exactly the steps the proof needs; the Input
-// steps among them are the core. Assumption clauses are not steps and
-// never appear in the core. Indices are sorted ascending.
+// CheckCore verifies the proof like Check and returns the unsatisfiable
+// core the backward pass marked: the ascending indices of the Input steps
+// the refutation depends on. Assumption clauses are not steps and never
+// appear in the core.
 func CheckCore(p *sat.Proof, assumptions ...sat.Lit) (*Stats, []int, error) {
-	c, used, err := replayTrace(p, true, assumptions)
-	if err != nil {
-		return nil, nil, err
-	}
-	steps := p.Steps()
-	marked := make(map[int]bool, len(c.refUsed))
-	work := append([]int(nil), c.refUsed...)
-	for len(work) > 0 {
-		s := work[len(work)-1]
-		work = work[:len(work)-1]
-		if marked[s] {
-			continue
-		}
-		marked[s] = true
-		if steps[s].Kind == sat.ProofDerive {
-			work = append(work, used[s]...)
-		}
-	}
-	var core []int
-	for s := range marked {
-		if steps[s].Kind == sat.ProofInput {
-			core = append(core, s)
-		}
-	}
-	sort.Ints(core)
-	return &c.stats, core, nil
-}
-
-// replayTrace drives the checker over the trace. With core set it returns the
-// per-Derive used-step sets; the refutation's used-set lands on
-// checker.refUsed.
-func replayTrace(p *sat.Proof, core bool, assumptions []sat.Lit) (*checker, map[int][]int, error) {
 	if p == nil {
 		return nil, nil, fmt.Errorf("drat: no proof recorded")
 	}
-	c := newChecker()
-	c.core = core
-	var used map[int][]int
-	if core {
-		used = map[int][]int{}
+	c := newChecker(p.Steps(), assumptions)
+	if err := c.forward(assumptions); err != nil {
+		return nil, nil, err
 	}
-	for _, a := range assumptions {
-		c.install([]sat.Lit{a}, -1)
+	if err := c.backward(); err != nil {
+		return nil, nil, err
 	}
-	for i, st := range p.Steps() {
-		switch st.Kind {
-		case sat.ProofInput:
-			c.stats.Inputs++
-			c.install(st.Lits, i)
-		case sat.ProofDerive:
-			ok, u := c.rup(st.Lits)
-			if !ok {
-				return nil, nil, fmt.Errorf("drat: step %d: derived clause %v is not RUP", i, st.Lits)
-			}
-			c.stats.Lemmas++
-			if core {
-				used[i] = u
-			}
-			c.install(st.Lits, i)
-		case sat.ProofDelete:
-			if err := c.remove(st.Lits); err != nil {
-				return nil, nil, fmt.Errorf("drat: step %d: %w", i, err)
-			}
-			c.stats.Deletions++
-		default:
-			return nil, nil, fmt.Errorf("drat: step %d: unknown kind %d", i, st.Kind)
-		}
-	}
-	if !c.unsat {
-		return nil, nil, fmt.Errorf("drat: proof ends without deriving the empty clause")
-	}
-	return c, used, nil
+	slices.Reverse(c.core)
+	c.stats.Inputs, c.stats.Lemmas, c.stats.Deletions = p.Counts()
+	return &c.stats, c.core, nil
 }
 
-// value is a three-state assignment: 0 unknown, +1 true, -1 false.
-type value int8
+// ref indexes the clause table; noRef stands for no clause.
+type ref = int32
 
-// clause is a checker clause. lits[0] and lits[1] are the watched
-// positions while attached; key is the normalized (sorted, deduplicated)
-// form used for deletion matching; step is the proof step that introduced
-// the clause (-1 for assumption units, which are not proof steps).
+const noRef ref = -1
+
+// Clause header flags.
+const (
+	fAttached uint8 = 1 << iota // watched when last in the database
+	fTaut                       // contains x and ¬x: never watched
+)
+
+// Per-clause state the propagator reads on every visit, kept apart from
+// the header for locality.
+const (
+	sMarked uint8 = 1 << iota // the refutation depends on the clause
+	sGone                     // retracted by the backward pass
+)
+
+// clause is a header in the clause table; its literals are
+// arena[off:off+n]. While attached, the first two are the watched ones.
 type clause struct {
-	lits     []sat.Lit
-	key      string
-	attached bool
-	step     int
+	off   uint32
+	n     uint32
+	hash  uint64 // of the sorted literals, for deletion matching
+	next  ref    // next clause in the same hash bucket
+	trail int32  // trail length before the clause was installed
+	flags uint8
 }
+
+// watch is a watch-list entry: the clause and a literal of it whose truth
+// lets propagation skip the clause without reading it.
+type watch struct {
+	ref     ref
+	blocker sat.Lit
+}
+
+// Propagation filters: the backward pass propagates through marked
+// clauses first (selCore) and only then through the rest (selRest).
+const (
+	selAll uint8 = iota
+	selCore
+	selRest
+)
 
 type checker struct {
-	assigns []value     // indexed by Var
-	reasons []*clause   // indexed by Var: antecedent of the current assignment
-	watches [][]*clause // indexed by Lit
+	steps   []sat.ProofStep
+	arena   []sat.Lit
+	cls     []clause
+	state   []uint8 // per clause: sMarked, sGone
+	refs    []ref   // per step: the clause installed or deleted
+	buckets []ref   // hash table heads
+	shift   uint    // 64 - log2(len(buckets))
+
+	vals    []int8    // per literal: +1 true, -1 false, 0 unassigned
+	reasons []ref     // per variable: clause that implied it
+	seen    []bool    // per variable: pending in conflict analysis
+	done    []bool    // per variable: root literal whose reasons are marked
+	watches [][]watch // per literal l: clauses watching ¬l
 	trail   []sat.Lit
-	qhead   int
-	fixed   int // trail prefix that is permanent (root units + consequences)
-	db      map[string][]*clause
-	unsat   bool // empty clause derived or database refuted by propagation
-	core    bool // record used-step sets for core extraction
-	refUsed []int
-	stats   Stats
+	qhead   int // next trail literal to propagate through every clause
+	qcore   int // next trail literal to propagate through marked clauses
+
+	coreFirst bool
+	refuted   int // step at which propagation refuted the database
+	confl     ref // the refuting conflict
+	scratch   []sat.Lit
+	core      []int
+	stats     Stats
 }
 
-func newChecker() *checker {
-	return &checker{db: map[string][]*clause{}}
-}
+// notRefuted marks a database unit propagation has not refuted;
+// refuted == -1 means the assumptions alone are contradictory.
+const notRefuted = -2
 
-func (c *checker) ensure(v sat.Var) {
-	for int(v) >= len(c.assigns) {
-		c.assigns = append(c.assigns, 0)
-		c.reasons = append(c.reasons, nil)
-		c.watches = append(c.watches, nil, nil)
+// newChecker sizes every table from one scan of the trace.
+func newChecker(steps []sat.ProofStep, assumptions []sat.Lit) *checker {
+	maxVar := sat.Var(0)
+	installs, lits := len(assumptions), len(assumptions)
+	for _, a := range assumptions {
+		maxVar = max(maxVar, a.Var())
 	}
-}
-
-func (c *checker) val(l sat.Lit) value {
-	a := c.assigns[l.Var()]
-	if l.Neg() {
-		return -a
+	for _, st := range steps {
+		for _, l := range st.Lits {
+			maxVar = max(maxVar, l.Var())
+		}
+		if st.Kind != sat.ProofDelete {
+			installs++
+			lits += len(st.Lits)
+		}
 	}
-	return a
+	bits := uint(4)
+	for 1<<bits < 2*installs {
+		bits++
+	}
+	nv := int(maxVar) + 1
+	c := &checker{
+		steps:   steps,
+		arena:   make([]sat.Lit, 0, lits),
+		cls:     make([]clause, 0, installs),
+		state:   make([]uint8, 0, installs),
+		refs:    make([]ref, len(steps)),
+		buckets: make([]ref, 1<<bits),
+		shift:   64 - bits,
+		vals:    make([]int8, 2*nv),
+		reasons: make([]ref, nv),
+		seen:    make([]bool, nv),
+		done:    make([]bool, nv),
+		watches: make([][]watch, 2*nv),
+		refuted: notRefuted,
+	}
+	for i := range c.buckets {
+		c.buckets[i] = noRef
+	}
+	// Watch lists start as four-entry windows of one slab, so only the
+	// long ones allocate.
+	slab := make([]watch, 4*len(c.watches))
+	for l := range c.watches {
+		c.watches[l] = slab[4*l : 4*l : 4*l+4]
+	}
+	return c
 }
 
-// assign records l as true with the clause that forced it (nil for the
-// assumed negations of a RUP check).
-func (c *checker) assign(l sat.Lit, reason *clause) {
-	if l.Neg() {
-		c.assigns[l.Var()] = -1
+// forward installs the trace up to the refutation, then keeps matching
+// the remaining deletions so a malformed tail is still rejected.
+func (c *checker) forward(assumptions []sat.Lit) error {
+	for _, a := range assumptions {
+		r := c.add([]sat.Lit{a})
+		if c.refuted == notRefuted {
+			if confl := c.install(r); confl != noRef {
+				c.refuted, c.confl = -1, confl
+			}
+		}
+	}
+	for i, st := range c.steps {
+		switch st.Kind {
+		case sat.ProofInput, sat.ProofDerive:
+			r := c.add(st.Lits)
+			c.link(r)
+			c.refs[i] = r
+			if c.refuted == notRefuted {
+				if confl := c.install(r); confl != noRef {
+					c.refuted, c.confl = i, confl
+				}
+			}
+		case sat.ProofDelete:
+			r, err := c.unlink(st.Lits)
+			if err != nil {
+				return fmt.Errorf("drat: step %d: %w", i, err)
+			}
+			c.refs[i] = r
+			if c.refuted == notRefuted && c.cls[r].flags&fAttached != 0 {
+				c.detach(r)
+			}
+		default:
+			return fmt.Errorf("drat: step %d: unknown kind %d", i, st.Kind)
+		}
+	}
+	if c.refuted == notRefuted {
+		return fmt.Errorf("drat: proof ends without deriving the empty clause")
+	}
+	return nil
+}
+
+// backward marks the refutation's conflict and walks the trace back from
+// it, verifying marked lemmas and collecting marked inputs (in descending
+// order).
+func (c *checker) backward() error {
+	c.resolve(c.see(c.confl), len(c.trail))
+	c.coreFirst = true
+	for i := c.refuted; i >= 0; i-- {
+		r := c.refs[i]
+		if c.steps[i].Kind == sat.ProofDelete {
+			if c.cls[r].flags&fAttached != 0 {
+				c.attach(r)
+			}
+			continue
+		}
+		c.retract(int(c.cls[r].trail))
+		c.state[r] |= sGone
+		if c.state[r]&sMarked == 0 {
+			continue
+		}
+		if c.steps[i].Kind == sat.ProofInput {
+			c.core = append(c.core, i)
+			continue
+		}
+		if !c.rup(r) {
+			return fmt.Errorf("drat: step %d: derived clause %v is not RUP", i, c.steps[i].Lits)
+		}
+		c.stats.Verified++
+	}
+	return nil
+}
+
+// add normalizes lits into the arena as a new clause.
+func (c *checker) add(lits []sat.Lit) ref {
+	off := len(c.arena)
+	var taut bool
+	c.arena, taut = normalize(c.arena, lits)
+	cl := clause{
+		off:   uint32(off),
+		n:     uint32(len(c.arena) - off),
+		hash:  hashLits(c.arena[off:]),
+		next:  noRef,
+		trail: int32(len(c.trail)),
+	}
+	if taut {
+		cl.flags = fTaut
+	}
+	c.cls = append(c.cls, cl)
+	c.state = append(c.state, 0)
+	return ref(len(c.cls) - 1)
+}
+
+func (c *checker) lits(r ref) []sat.Lit {
+	cl := &c.cls[r]
+	return c.arena[cl.off : cl.off+cl.n]
+}
+
+// normalize appends lits to dst sorted and without duplicates, reporting
+// whether they contain a complementary pair.
+func normalize(dst, lits []sat.Lit) ([]sat.Lit, bool) {
+	off := len(dst)
+	dst = append(dst, lits...)
+	s := dst[off:]
+	if len(s) <= 16 {
+		for i := 1; i < len(s); i++ {
+			for j := i; j > 0 && s[j] < s[j-1]; j-- {
+				s[j], s[j-1] = s[j-1], s[j]
+			}
+		}
 	} else {
-		c.assigns[l.Var()] = 1
+		slices.Sort(s)
 	}
-	c.reasons[l.Var()] = reason
+	n, taut := 0, false
+	for _, l := range s {
+		if n > 0 && l == s[n-1] {
+			continue
+		}
+		if n > 0 && l == s[n-1].Not() {
+			taut = true
+		}
+		s[n] = l
+		n++
+	}
+	return dst[:off+n], taut
+}
+
+func hashLits(sorted []sat.Lit) uint64 {
+	h := uint64(len(sorted))
+	for _, l := range sorted {
+		h ^= uint64(l) + 0x9e3779b97f4a7c15 + h<<6 + h>>2
+	}
+	return h
+}
+
+func (c *checker) bucket(h uint64) *ref {
+	return &c.buckets[(h*0x9e3779b97f4a7c15)>>c.shift]
+}
+
+// link enters r in the deletion hash table, ahead of earlier duplicates.
+func (c *checker) link(r ref) {
+	b := c.bucket(c.cls[r].hash)
+	c.cls[r].next = *b
+	*b = r
+}
+
+// unlink finds the most recent database clause equal to lits as a set and
+// removes it from the hash table. Units and the empty clause are never
+// deleted by the solver, so a trace asking for that — or for a clause the
+// database does not hold — is malformed.
+func (c *checker) unlink(lits []sat.Lit) (ref, error) {
+	q, taut := normalize(c.scratch[:0], lits)
+	c.scratch = q
+	if !taut && len(q) < 2 {
+		return noRef, fmt.Errorf("deletion of unit/empty clause %v", lits)
+	}
+	h := hashLits(q)
+	for p := c.bucket(h); *p != noRef; p = &c.cls[*p].next {
+		r := *p
+		if c.cls[r].hash != h || int(c.cls[r].n) != len(q) {
+			continue
+		}
+		same := true
+		for _, l := range c.lits(r) {
+			if _, ok := slices.BinarySearch(q, l); !ok {
+				same = false
+				break
+			}
+		}
+		if same {
+			*p = c.cls[r].next
+			return r, nil
+		}
+	}
+	return noRef, fmt.Errorf("deletion of clause %v not in database", lits)
+}
+
+// assign makes l true with reason r (noRef for a RUP assumption).
+func (c *checker) assign(l sat.Lit, r ref) {
+	c.vals[l] = 1
+	c.vals[l.Not()] = -1
+	c.reasons[l.Var()] = r
 	c.trail = append(c.trail, l)
 }
 
-// chainFrom collects the proof steps a conflict on cl depends on: cl's
-// own step plus, transitively, the steps of the reason clauses that
-// falsified its literals. Assumption clauses (step -1) terminate chains
-// without contributing a step. The result is sorted.
-func (c *checker) chainFrom(cl *clause) []int {
-	seen := map[int]struct{}{}
-	visited := map[sat.Var]struct{}{}
-	var steps []int
-	add := func(s int) {
-		if s < 0 {
-			return
-		}
-		if _, ok := seen[s]; !ok {
-			seen[s] = struct{}{}
-			steps = append(steps, s)
-		}
+// install adds clause r to the root state: an all-false clause is returned
+// as the refuting conflict; a unit is assigned and propagated; a clause
+// with two non-false literals is watched on them. A clause already
+// satisfied at the root stays unwatched: retraction unassigns its true
+// literal only after the clause itself is gone.
+func (c *checker) install(r ref) ref {
+	cl := &c.cls[r]
+	if cl.flags&fTaut != 0 {
+		return noRef
 	}
-	add(cl.step)
-	stack := make([]sat.Var, 0, len(cl.lits))
-	for _, l := range cl.lits {
-		stack = append(stack, l.Var())
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if _, ok := visited[v]; ok {
-			continue
-		}
-		visited[v] = struct{}{}
-		r := c.reasons[v]
-		if r == nil {
-			continue
-		}
-		add(r.step)
-		for _, l := range r.lits {
-			stack = append(stack, l.Var())
-		}
-	}
-	sort.Ints(steps)
-	return steps
-}
-
-// normalize sorts and deduplicates, reporting tautologies (x ∨ ¬x).
-func normalize(lits []sat.Lit) (out []sat.Lit, taut bool) {
-	out = append(out, lits...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	n := 0
-	var prev sat.Lit = -1
-	for _, l := range out {
-		if l == prev {
-			continue
-		}
-		if prev >= 0 && l == prev.Not() {
-			return nil, true
-		}
-		out[n] = l
-		n++
-		prev = l
-	}
-	return out[:n], false
-}
-
-func key(norm []sat.Lit) string {
-	b := make([]byte, 0, len(norm)*4)
-	for _, l := range norm {
-		b = append(b, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
-	}
-	return string(b)
-}
-
-// install adds a clause to the database and updates the persistent
-// assignment: empty or all-false clauses refute the database, unit (or
-// effectively-unit) clauses are propagated permanently. Tautologies are
-// recorded for deletion matching but never attached.
-func (c *checker) install(lits []sat.Lit, step int) {
-	norm, taut := normalize(lits)
-	for _, l := range norm {
-		c.ensure(l.Var())
-	}
-	cl := &clause{lits: norm, key: key(norm), step: step}
-	c.db[cl.key] = append(c.db[cl.key], cl)
-	if taut || c.unsat {
-		return
-	}
-	// Move two non-false literals to the watched positions. A clause with
-	// a permanently-true literal can never become all-false, so it is
-	// left detached.
+	lits := c.lits(r)
 	nonFalse := 0
-	for i, l := range norm {
-		switch c.val(l) {
+	for i, l := range lits {
+		switch c.vals[l] {
 		case 1:
-			return
+			return noRef
 		case 0:
-			norm[nonFalse], norm[i] = norm[i], norm[nonFalse]
+			lits[nonFalse], lits[i] = lits[i], lits[nonFalse]
 			nonFalse++
 		}
 	}
 	switch nonFalse {
 	case 0:
-		c.unsat = true
-		if c.core {
-			c.refUsed = c.chainFrom(cl)
-		}
+		return r
 	case 1:
-		c.assign(norm[0], cl)
-		if confl := c.propagateFixed(); confl != nil {
-			if c.core {
-				c.refUsed = c.chainFrom(confl)
+		c.assign(lits[0], r)
+		return c.propagate()
+	}
+	cl.flags |= fAttached
+	c.attach(r)
+	return noRef
+}
+
+func (c *checker) attach(r ref) {
+	lits := c.lits(r)
+	c.watches[lits[0].Not()] = append(c.watches[lits[0].Not()], watch{r, lits[1]})
+	c.watches[lits[1].Not()] = append(c.watches[lits[1].Not()], watch{r, lits[0]})
+}
+
+func (c *checker) detach(r ref) {
+	for _, l := range c.lits(r)[:2] {
+		ws := c.watches[l.Not()]
+		for i := range ws {
+			if ws[i].ref == r {
+				ws[i] = ws[len(ws)-1]
+				c.watches[l.Not()] = ws[:len(ws)-1]
+				break
 			}
 		}
-	default:
-		cl.attached = true
-		c.watch(norm[0], cl)
-		c.watch(norm[1], cl)
 	}
 }
 
-func (c *checker) watch(l sat.Lit, cl *clause) {
-	c.watches[l.Not()] = append(c.watches[l.Not()], cl)
+// retract unassigns the trail past n.
+func (c *checker) retract(n int) {
+	for _, l := range c.trail[n:] {
+		c.vals[l], c.vals[l.Not()] = 0, 0
+		c.reasons[l.Var()] = noRef
+		c.done[l.Var()] = false
+	}
+	c.trail = c.trail[:n]
+	c.qhead, c.qcore = n, n
 }
 
-func (c *checker) unwatch(l sat.Lit, cl *clause) {
-	ws := c.watches[l.Not()]
-	for i := range ws {
-		if ws[i] == cl {
-			ws[i] = ws[len(ws)-1]
-			c.watches[l.Not()] = ws[:len(ws)-1]
-			return
+// propagate runs unit propagation from the queue heads and returns a
+// conflicting clause, or noRef at the fixpoint. In the backward pass a
+// literal's unmarked watchers are visited only once every assignment has
+// been propagated through the marked clauses.
+func (c *checker) propagate() ref {
+	sel := selAll
+	if c.coreFirst {
+		sel = selRest
+	}
+	for {
+		for c.coreFirst && c.qcore < len(c.trail) {
+			c.qcore++
+			if confl := c.visit(c.trail[c.qcore-1], selCore); confl != noRef {
+				return confl
+			}
 		}
-	}
-}
-
-// remove deletes one database occurrence of the clause. Units and the
-// empty clause are never deleted by the solver, so a trace asking for
-// that — or for a clause the database does not hold — is malformed.
-func (c *checker) remove(lits []sat.Lit) error {
-	norm, taut := normalize(lits)
-	if !taut && len(norm) < 2 {
-		return fmt.Errorf("deletion of unit/empty clause %v", lits)
-	}
-	k := key(norm)
-	cls := c.db[k]
-	if len(cls) == 0 {
-		return fmt.Errorf("deletion of clause %v not in database", lits)
-	}
-	cl := cls[len(cls)-1]
-	c.db[k] = cls[:len(cls)-1]
-	if cl.attached {
-		c.unwatch(cl.lits[0], cl)
-		c.unwatch(cl.lits[1], cl)
-	}
-	return nil
-}
-
-// propagateFixed runs propagation and makes the result permanent,
-// returning the conflicting clause (and marking the database refuted) if
-// one arises.
-func (c *checker) propagateFixed() *clause {
-	confl := c.propagate()
-	c.qhead = len(c.trail)
-	c.fixed = len(c.trail)
-	if confl != nil {
-		c.unsat = true
-	}
-	return confl
-}
-
-// propagate processes the trail from qhead, returning the conflicting
-// clause or nil.
-func (c *checker) propagate() *clause {
-	for c.qhead < len(c.trail) {
-		p := c.trail[c.qhead]
+		if c.qhead == len(c.trail) {
+			return noRef
+		}
 		c.qhead++
 		c.stats.Propagations++
-		ws := c.watches[p]
-		j := 0
-	nextClause:
-		for i := 0; i < len(ws); i++ {
-			cl := ws[i]
-			np := p.Not()
-			if cl.lits[0] == np {
-				cl.lits[0], cl.lits[1] = cl.lits[1], np
-			}
-			if c.val(cl.lits[0]) == 1 {
-				ws[j] = cl
-				j++
-				continue
-			}
-			for k := 2; k < len(cl.lits); k++ {
-				if c.val(cl.lits[k]) != -1 {
-					cl.lits[1], cl.lits[k] = cl.lits[k], cl.lits[1]
-					c.watch(cl.lits[1], cl)
-					continue nextClause
-				}
-			}
-			ws[j] = cl
-			j++
-			if c.val(cl.lits[0]) == -1 {
-				for i++; i < len(ws); i++ {
-					ws[j] = ws[i]
-					j++
-				}
-				c.watches[p] = ws[:j]
-				return cl
-			}
-			c.assign(cl.lits[0], cl)
+		if confl := c.visit(c.trail[c.qhead-1], sel); confl != noRef {
+			return confl
 		}
-		c.watches[p] = ws[:j]
 	}
-	return nil
 }
 
-// rup verifies a derived clause by reverse unit propagation: assume every
-// literal false, propagate, and require a conflict. A clause containing a
-// permanently-true literal is already entailed; once the database is
-// refuted everything is entailed. In core mode the second result lists
-// the proof steps the verification depended on (the conflict's chain, or
-// the entailing literal's reason chain).
-func (c *checker) rup(lits []sat.Lit) (bool, []int) {
-	if c.unsat {
-		return true, nil
-	}
-	norm, taut := normalize(lits)
-	if taut {
-		return true, nil
-	}
-	mark := len(c.trail)
-	for _, l := range norm {
-		c.ensure(l.Var())
-		switch c.val(l) {
-		case 1:
-			var used []int
-			if c.core {
-				if r := c.reasons[l.Var()]; r != nil {
-					used = c.chainFrom(r)
-				}
+// visit processes the selected clauses watching ¬p, which p made false:
+// each moves its watch to a non-false literal, implies its other watched
+// literal, or is returned as a conflict. Retracted clauses are dropped.
+func (c *checker) visit(p sat.Lit, sel uint8) ref {
+	np := p.Not()
+	ws := c.watches[p]
+	j := 0
+next:
+	for i := 0; i < len(ws); i++ {
+		w := ws[i]
+		if c.vals[w.blocker] == 1 {
+			ws[j] = w
+			j++
+			continue
+		}
+		s := c.state[w.ref]
+		if s&sGone != 0 {
+			continue
+		}
+		if sel != selAll && (s&sMarked != 0) != (sel == selCore) {
+			ws[j] = w
+			j++
+			continue
+		}
+		lits := c.lits(w.ref)
+		if lits[0] == np {
+			lits[0], lits[1] = lits[1], np
+		}
+		first := lits[0]
+		if c.vals[first] == 1 {
+			ws[j] = watch{w.ref, first}
+			j++
+			continue
+		}
+		for k := 2; k < len(lits); k++ {
+			if c.vals[lits[k]] != -1 {
+				lits[1], lits[k] = lits[k], np
+				nl := lits[1].Not()
+				c.watches[nl] = append(c.watches[nl], watch{w.ref, first})
+				continue next
 			}
-			c.backtrack(mark)
-			return true, used
+		}
+		ws[j] = watch{w.ref, first}
+		j++
+		if c.vals[first] == -1 {
+			j += copy(ws[j:], ws[i+1:])
+			c.watches[p] = ws[:j]
+			return w.ref
+		}
+		c.assign(first, w.ref)
+	}
+	c.watches[p] = ws[:j]
+	return noRef
+}
+
+// rup verifies clause r by reverse unit propagation against the current
+// database and marks what the verification used. A literal already true
+// at the root entails the clause through its own reasons.
+func (c *checker) rup(r ref) bool {
+	root := len(c.trail)
+	for _, l := range c.lits(r) {
+		switch c.vals[l] {
+		case 1:
+			c.retract(root)
+			if v := l.Var(); !c.done[v] {
+				c.seen[v] = true
+				c.resolve(1, root)
+			}
+			return true
 		case 0:
-			c.assign(l.Not(), nil)
+			c.assign(l.Not(), noRef)
 		}
 	}
 	confl := c.propagate()
-	var used []int
-	if confl != nil && c.core {
-		used = c.chainFrom(confl)
+	if confl != noRef {
+		c.resolve(c.see(confl), root)
 	}
-	c.backtrack(mark)
-	return confl != nil, used
+	c.retract(root)
+	return confl != noRef
 }
 
-// backtrack undoes every assignment past the persistent prefix mark.
-func (c *checker) backtrack(mark int) {
-	for i := len(c.trail) - 1; i >= mark; i-- {
-		c.assigns[c.trail[i].Var()] = 0
-		c.reasons[c.trail[i].Var()] = nil
+// see marks clause r and flags its false literals' variables for
+// resolve, returning how many it newly flagged.
+func (c *checker) see(r ref) int {
+	c.state[r] |= sMarked
+	n := 0
+	for _, l := range c.lits(r) {
+		if v := l.Var(); c.vals[l] == -1 && !c.seen[v] && !c.done[v] {
+			c.seen[v] = true
+			n++
+		}
 	}
-	c.trail = c.trail[:mark]
-	c.qhead = mark
+	return n
+}
+
+// resolve walks the trail backwards until the pending flagged variables
+// are exhausted, marking each one's reason: with see, it marks every
+// clause a conflict rests on. Trail literals before root are permanent at
+// this point of the backward pass; once their reasons are marked they are
+// not walked again.
+func (c *checker) resolve(pending, root int) {
+	for i := len(c.trail) - 1; pending > 0; i-- {
+		v := c.trail[i].Var()
+		if !c.seen[v] {
+			continue
+		}
+		c.seen[v] = false
+		pending--
+		if i < root {
+			c.done[v] = true
+		}
+		if r := c.reasons[v]; r != noRef {
+			pending += c.see(r)
+		}
+	}
 }

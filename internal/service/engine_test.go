@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -505,5 +506,39 @@ func TestEngineModularFallback(t *testing.T) {
 	}
 	if got := e.Trace().Counter("service.modular_residue"); got == 0 {
 		t.Fatal("modular_residue counter not incremented")
+	}
+}
+
+// TestVerdictProofVerifiedLemmas pins the certificate summary of a
+// certified session check: the proof object carries how many of its
+// lemmas the checker RUP-verified, never more than the trace holds.
+func TestVerdictProofVerifiedLemmas(t *testing.T) {
+	e := NewEngine(Options{Workers: 1, Timeout: 60 * time.Second, Tiers: "none", Certify: true})
+	t.Cleanup(e.Close)
+	v, err := e.Verify(context.Background(), &Request{
+		Configs: chainConfigs(3),
+		Spec:    Spec{Check: "reachability", Src: "R1", Subnet: "10.100.3.0/24"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Verified || v.Proof == nil || !v.Proof.Checked {
+		t.Fatalf("verified=%v proof=%+v, want a checked certificate", v.Verified, v.Proof)
+	}
+	if v.Proof.VerifiedLemmas < 0 || v.Proof.VerifiedLemmas > v.Proof.Lemmas {
+		t.Fatalf("verified_lemmas %d outside [0, lemmas %d]", v.Proof.VerifiedLemmas, v.Proof.Lemmas)
+	}
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obj struct {
+		Proof map[string]any `json:"proof"`
+	}
+	if err := json.Unmarshal(raw, &obj); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := obj.Proof["verified_lemmas"]; !ok || got != float64(v.Proof.VerifiedLemmas) {
+		t.Fatalf("proof object %v lacks verified_lemmas = %d", obj.Proof, v.Proof.VerifiedLemmas)
 	}
 }

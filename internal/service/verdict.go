@@ -78,6 +78,9 @@ type ProofInfo struct {
 	Steps   int     `json:"steps"`
 	Lemmas  int     `json:"lemmas"`
 	CheckMs float64 `json:"check_ms"`
+	// VerifiedLemmas counts the lemmas the refutation uses, each
+	// RUP-checked; the checker accepts the rest unchecked.
+	VerifiedLemmas int `json:"verified_lemmas"`
 }
 
 // SolverStats is the per-check CDCL work (deltas for session checks, not
@@ -156,10 +159,11 @@ func newVerdict(jobID string, spec Spec, res *core.Result, m *core.Model) *Verdi
 	}
 	if cert := res.Certificate; cert != nil {
 		v.Proof = &ProofInfo{
-			Checked: cert.Checked,
-			Steps:   cert.Steps,
-			Lemmas:  cert.Lemmas,
-			CheckMs: durMs(cert.CheckElapsed),
+			Checked:        cert.Checked,
+			Steps:          cert.Steps,
+			Lemmas:         cert.Lemmas,
+			VerifiedLemmas: cert.VerifiedLemmas,
+			CheckMs:        durMs(cert.CheckElapsed),
 		}
 	}
 	cex := res.Counterexample
